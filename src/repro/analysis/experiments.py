@@ -232,7 +232,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "E21", "experiment service",
         "from library to serving system: sustained submissions/sec and "
-        "p50/p99 submit→done latency through the persistent job queue, "
+        "p50/p99 queue submit→finish latency through the persistent job queue, "
         "worker pool, and streaming HTTP API — warm-cache resubmission "
         "completes without recompute, and a killed worker resumes from "
         "its trial-shard checkpoints bit-for-bit",

@@ -926,6 +926,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+
     from repro.service import (
         DEFAULT_SHARD_TRIALS,
         JobQueue,
@@ -934,16 +936,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     queue = JobQueue(args.queue)
+    pool = WorkerPool(
+        queue.path, cache_root=args.cache_dir, workers=args.workers,
+        lease_ttl=args.lease_ttl,
+        shard_trials=args.shard_trials or DEFAULT_SHARD_TRIALS)
+    # Submits through the server wake an idle worker at once.
+    queue.wake = pool.wake
     server = create_server(queue, host=args.host, port=args.port,
                            quiet=not args.verbose)
     print(f"queue:   {queue.path} (schema v{queue.schema_version()})")
     print(f"serving on {server.url} ({args.workers} worker"
           f"{'s' if args.workers != 1 else ''})")
     sys.stdout.flush()
-    pool = WorkerPool(
-        queue.path, cache_root=args.cache_dir, workers=args.workers,
-        lease_ttl=args.lease_ttl,
-        shard_trials=args.shard_trials or DEFAULT_SHARD_TRIALS)
+
+    def _stop(signum, frame):
+        raise KeyboardInterrupt
+
+    # SIGTERM stops like Ctrl-C, so the pool is stopped and its semaphore
+    # released instead of orphaning the workers.
+    signal.signal(signal.SIGTERM, _stop)
     with pool:
         try:
             server.serve_forever()

@@ -15,9 +15,11 @@ one :class:`~repro.service.queue.JobQueue`:
     List (optionally ``?state=queued``) / inspect jobs.
 ``GET /jobs/<id>/stream``
     Server-sent events over chunked transfer encoding: replays the job's
-    event log, then tails it — ``shard`` events as trial shards complete,
-    a ``result`` summary, and a terminal ``done``/``failed``/``cancelled``
-    event, after which the stream closes.  ``?timeout=S`` bounds the tail.
+    event log, then tails it (an ``EventWatch`` notices each new event,
+    within milliseconds while the job is busy) — ``shard`` events as
+    trial shards complete, a ``result`` summary, and a terminal
+    ``done``/``failed``/``cancelled`` event, after which the stream
+    closes.  ``?timeout=S`` bounds the tail.
 ``POST /jobs/<id>/cancel``
     Cancel a queued/running job.
 ``GET /healthz``
@@ -36,21 +38,28 @@ stream, which is chunked.  No third-party dependencies anywhere.
 from __future__ import annotations
 
 import json
+import select
+import socket
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import active_recorder, maybe_span, summarize_events
-from repro.service.queue import JOB_STATES, TERMINAL_STATES, JobQueue
+from repro.service.queue import JOB_STATES, TERMINAL_STATES, EventWatch, JobQueue
 
 __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "ServiceServer", "create_server"]
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
 
-#: How often the stream endpoint polls the events table while tailing.
+#: Ceiling on the stream tail's check interval: a tail that has waited
+#: a second or more checks for the job's next event this often.
 _STREAM_POLL_SECONDS = 0.1
+
+#: The tail's first check interval after each event; checks spread out
+#: as the wait goes on (see ``EventWatch.wait``).
+_STREAM_TICK_SECONDS = 0.002
 
 #: Default tail bound for ``GET /jobs/<id>/stream`` (override: ``?timeout=``).
 _STREAM_TIMEOUT_SECONDS = 300.0
@@ -258,6 +267,15 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             f"event: {kind}\ndata: {json.dumps(payload, sort_keys=True)}\n\n".encode()
         )
 
+    def _sleep_unless_gone(self, seconds: float) -> None:
+        """Sleep between tail checks, but end the stream as soon as the
+        client hangs up: a stream client sends nothing, so a readable
+        socket that peeks empty is the client's end closing."""
+        if select.select([self.connection], [], [], seconds)[0]:
+            if not self.connection.recv(1, socket.MSG_PEEK):
+                raise ConnectionResetError("client closed the stream")
+            time.sleep(seconds)  # stray bytes: fall back to a plain sleep
+
     def _stream_job(self, job_id: str, query: dict) -> None:
         record = self._queue.get(job_id)  # 404 before committing to a stream
         try:
@@ -273,7 +291,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         deadline = time.monotonic() + timeout
         last_seq = -1
         terminal = False
-        with maybe_span("service.api.stream", job=job_id):
+        with maybe_span("service.api.stream", job=job_id), \
+                EventWatch(self._queue.path, job_id) as watch:
             while not terminal:
                 for seq, ts, kind, payload in self._queue.events_since(
                     job_id, last_seq
@@ -284,13 +303,16 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                         terminal = True
                 if terminal:
                     break
-                if time.monotonic() >= deadline:
+                if not watch.wait(
+                    last_seq, deadline - time.monotonic(),
+                    tick=_STREAM_TICK_SECONDS, ceiling=_STREAM_POLL_SECONDS,
+                    sleep=self._sleep_unless_gone,
+                ):
                     self._sse(
                         "timeout",
                         {"job": job_id, "state": self._queue.get(job_id).state},
                     )
                     break
-                time.sleep(_STREAM_POLL_SECONDS)
         self.wfile.write(b"0\r\n\r\n")
         METRICS.incr("service.streams.served")
 

@@ -18,7 +18,6 @@ event closes the stream.
 from __future__ import annotations
 
 import json
-import time
 import urllib.error
 import urllib.request
 from typing import Iterator
@@ -45,7 +44,13 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Wire plumbing
     # ------------------------------------------------------------------
-    def _open(self, method: str, path: str, body: dict | None = None):
+    def _open(
+        self,
+        method: str,
+        path: str,
+        body: dict | None = None,
+        timeout: float | None = None,
+    ):
         data = None
         headers = {"Accept": "application/json"}
         if body is not None:
@@ -55,7 +60,9 @@ class ServiceClient:
             self.base_url + path, data=data, headers=headers, method=method
         )
         try:
-            return urllib.request.urlopen(request, timeout=self.timeout)
+            return urllib.request.urlopen(
+                request, timeout=self.timeout if timeout is None else timeout
+            )
         except urllib.error.HTTPError as exc:
             raw = exc.read()
             try:
@@ -106,9 +113,12 @@ class ServiceClient:
         replaying history then tailing until a terminal event (``done`` /
         ``failed`` / ``cancelled``) or the server-side ``timeout``."""
         path = f"/jobs/{job_id}/stream"
+        read_timeout = None
         if timeout is not None:
             path += f"?timeout={timeout}"
-        with self._open("GET", path) as response:
+            # The server may stay quiet for the whole tail bound.
+            read_timeout = self.timeout + timeout
+        with self._open("GET", path, timeout=read_timeout) as response:
             kind, data_lines = None, []
             for raw in response:
                 line = raw.decode().rstrip("\r\n")
@@ -120,15 +130,11 @@ class ServiceClient:
                     yield kind, json.loads("\n".join(data_lines) or "{}")
                     kind, data_lines = None, []
 
-    def wait(self, job_id: str, timeout: float = 120.0, poll: float = 0.1) -> dict:
-        """Poll until the job reaches a terminal state; returns the job."""
-        deadline = time.monotonic() + timeout
-        while True:
-            record = self.job(job_id)
-            if record["state"] in ("done", "failed", "cancelled"):
-                return record
-            if time.monotonic() >= deadline:
+    def wait(self, job_id: str, timeout: float = 120.0) -> dict:
+        """Follow the job's stream to its terminal event; returns the job."""
+        for kind, payload in self.stream(job_id, timeout=timeout):
+            if kind == "timeout":
                 raise ServiceError(
-                    f"job {job_id} still {record['state']!r} after {timeout}s"
+                    f"job {job_id} still {payload['state']!r} after {timeout}s"
                 )
-            time.sleep(poll)
+        return self.job(job_id)

@@ -26,13 +26,20 @@ to ``max_attempts``, after which it is failed with a lease-expiry error.
 
 Every mutation appends to an ``events`` table (per-job, monotonically
 numbered) — the stream the API's SSE endpoint replays and tails.
+
+Nobody has to sleep on a fixed poll to learn of a change: ``submit``
+releases the queue's ``wake`` semaphore (the one idle workers block on)
+after each commit that leaves a job queued, and an :class:`EventWatch`
+sees a job's next event through ``PRAGMA data_version``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pathlib
 import sqlite3
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,6 +49,7 @@ from repro.obs.metrics import METRICS
 from repro.obs.tracing import maybe_span
 
 __all__ = [
+    "EventWatch",
     "JOB_STATES",
     "JobQueue",
     "JobRecord",
@@ -191,6 +199,13 @@ class JobQueue:
     ``salt`` feeds :func:`~repro.runtime.store.scenario_key`; leave it
     ``None`` so queue ids and result-store keys agree (both then follow
     the package-version salt and ``REPRO_CACHE_SALT``).
+
+    :attr:`wake` is the semaphore idle workers over this queue block on;
+    :meth:`submit` releases it once after each commit that leaves a job
+    queued.  It starts as a ``threading.Semaphore``, which wakes
+    :class:`~repro.service.worker.Worker` threads built over this same
+    object; ``repro serve`` replaces it with ``WorkerPool.wake``, which
+    reaches the pool's processes.
     """
 
     def __init__(
@@ -210,6 +225,7 @@ class JobQueue:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.max_attempts = int(max_attempts)
         self.busy_timeout = float(busy_timeout)
+        self.wake = threading.Semaphore(0)
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         self._migrate()
 
@@ -315,10 +331,12 @@ class JobQueue:
                     con, job_id, "submitted", {"spec": spec}, ts=now
                 )
                 METRICS.incr("service.jobs.submitted")
-                record = self._get(con, job_id)
-                return record, True
-            record = _record(row)
-            if record.state in ("failed", "cancelled"):
+                record, created = self._get(con, job_id), True
+            else:
+                record, created = _record(row), False
+                if record.state not in ("failed", "cancelled"):
+                    METRICS.incr("service.jobs.deduped")
+                    return record, False
                 con.execute(
                     "UPDATE jobs SET state='queued', submitted_at=?, "
                     "started_at=NULL, finished_at=NULL, attempts=0, "
@@ -331,9 +349,10 @@ class JobQueue:
                     {"spec": spec, "previous_state": record.state}, ts=now,
                 )
                 METRICS.incr("service.jobs.resubmitted")
-                return self._get(con, job_id), False
-            METRICS.incr("service.jobs.deduped")
-            return record, False
+                record = self._get(con, job_id)
+        # Only after the commit: a woken worker must find the job leasable.
+        self.wake.release()
+        return record, created
 
     # ------------------------------------------------------------------
     # Lookup
@@ -571,7 +590,7 @@ class JobQueue:
         self, job_id: str, after_seq: int = -1
     ) -> list[tuple[int, float, str, dict]]:
         """Events strictly after ``after_seq`` as ``(seq, ts, kind,
-        payload)``, in order — the polling primitive behind the stream."""
+        payload)``, in order — the read behind the stream."""
         con = self._connect()
         try:
             rows = con.execute(
@@ -585,3 +604,66 @@ class JobQueue:
             (int(seq), float(ts), kind, json.loads(payload))
             for seq, ts, kind, payload in rows
         ]
+
+
+class EventWatch:
+    """Waits for a job's next event on one read-only connection.
+
+    Each check reads only ``PRAGMA data_version``, which moves whenever
+    another connection commits to the file (any process, any writer);
+    only then is the job's newest event seq read, on the same
+    connection.  The token is read *before* that seq check, so a commit
+    landing between the check and the next sleep has already moved it
+    and is never missed.  A context manager; the connection is closed on
+    exit.
+    """
+
+    def __init__(self, path: str | os.PathLike, job_id: str):
+        uri = pathlib.Path(os.path.abspath(path)).as_uri() + "?mode=ro"
+        self._con = sqlite3.connect(uri, uri=True)
+        self.job_id = job_id
+
+    def latest(self) -> int:
+        """The job's newest event seq, ``-1`` before its first."""
+        return int(self._con.execute(
+            "SELECT COALESCE(MAX(seq), -1) FROM events WHERE job_id=?",
+            (self.job_id,),
+        ).fetchone()[0])
+
+    def wait(
+        self,
+        after_seq: int,
+        timeout: float,
+        tick: float,
+        ceiling: float,
+        sleep=time.sleep,
+    ) -> bool:
+        """Block until the job has an event after ``after_seq`` (``True``)
+        or ``timeout`` seconds pass (``False``).
+
+        Checks start ``tick`` apart and spread out to a tenth of the time
+        waited so far, capped at ``ceiling``: an event in a busy job is
+        seen within milliseconds, and a long quiet wait costs about one
+        check per ``ceiling``.  ``sleep(seconds)`` spaces the checks.
+        """
+        start = time.monotonic()
+        token = None
+        while True:
+            version = self._con.execute("PRAGMA data_version").fetchone()[0]
+            if version != token:
+                token = version
+                if self.latest() > after_seq:
+                    return True
+            waited = time.monotonic() - start
+            if waited >= timeout:
+                return False
+            sleep(min(max(tick, waited / 10), ceiling, timeout - waited))
+
+    def close(self) -> None:
+        self._con.close()
+
+    def __enter__(self) -> "EventWatch":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -1,6 +1,6 @@
 """Workers: lease jobs, execute scenarios, checkpoint per trial-shard.
 
-A :class:`Worker` polls one :class:`~repro.service.queue.JobQueue`,
+A :class:`Worker` leases from one :class:`~repro.service.queue.JobQueue`,
 claims jobs under a heartbeated lease, and executes each submitted
 :class:`~repro.scenario.spec.Scenario` through the existing runtime:
 
@@ -21,7 +21,9 @@ claims jobs under a heartbeated lease, and executes each submitted
   partial batch summary — the stream ``GET /jobs/<id>/stream`` relays.
 
 :class:`WorkerPool` runs N workers as daemon processes — the pool behind
-``repro serve --workers N``.
+``repro serve --workers N``.  The pool owns the ``wake`` semaphore its
+idle workers block on; the server's queue releases it on every submit,
+so a new job is leased at once rather than at the next poll.
 """
 
 from __future__ import annotations
@@ -105,6 +107,12 @@ class Worker:
     comfortably exceed one shard's compute time — the lease is renewed at
     every shard boundary; size shards (``shard_trials``) down before
     sizing the ttl up.
+
+    An idle :meth:`run` blocks on the queue's ``wake`` semaphore, so a
+    submit through the same queue object (or, in a pool, through one
+    holding ``WorkerPool.wake``) wakes it at once.  ``poll_interval``
+    stays the ceiling on each wait: a writer anywhere else and a lapsed
+    lease turning runnable release nothing.
     """
 
     def __init__(
@@ -173,7 +181,7 @@ class Worker:
                 idle_since = now
             if idle_timeout is not None and now - idle_since >= idle_timeout:
                 break
-            time.sleep(self.poll_interval)
+            self.queue.wake.acquire(timeout=self.poll_interval)
         return executed
 
     # ------------------------------------------------------------------
@@ -283,10 +291,13 @@ def _worker_main(
     lease_ttl: float,
     poll_interval: float,
     shard_trials: int,
+    wake,
 ) -> None:
     """Module-level pool-process entry point (picklable under spawn)."""
+    queue = JobQueue(queue_path)
+    queue.wake = wake
     Worker(
-        queue_path,
+        queue,
         store=cache_root,
         lease_ttl=lease_ttl,
         poll_interval=poll_interval,
@@ -298,9 +309,12 @@ class WorkerPool:
     """N workers as daemon processes over one queue file.
 
     Each process opens its own SQLite connections and result store —
-    nothing is shared but the files, which is the whole concurrency
-    story.  ``stop()`` terminates the processes; any in-flight job's
-    lease expires and the next worker resumes it from its checkpoints.
+    nothing is shared but the files and :attr:`wake`, a semaphore idle
+    workers block on.  Assign it to the submitting side's
+    ``JobQueue.wake``; a semaphore has no owner, so a worker killed at
+    any point cannot wedge the others.  ``stop()`` terminates the
+    processes; any in-flight job's lease expires and the next worker
+    resumes it from its checkpoints.
     """
 
     def __init__(
@@ -312,8 +326,12 @@ class WorkerPool:
         poll_interval: float = 0.2,
         shard_trials: int = DEFAULT_SHARD_TRIALS,
     ):
+        import multiprocessing
+
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        self._ctx = multiprocessing.get_context("spawn")
+        self.wake = self._ctx.Semaphore(0)
         self.queue_path = os.fspath(queue_path)
         self.cache_root = None if cache_root is None else os.fspath(cache_root)
         self.workers = int(workers)
@@ -323,11 +341,8 @@ class WorkerPool:
         self._processes: list = []
 
     def start(self) -> None:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("spawn")
         for _ in range(self.workers):
-            proc = ctx.Process(
+            proc = self._ctx.Process(
                 target=_worker_main,
                 args=(
                     self.queue_path,
@@ -335,6 +350,7 @@ class WorkerPool:
                     self.lease_ttl,
                     self.poll_interval,
                     self.shard_trials,
+                    self.wake,
                 ),
                 daemon=True,
             )
